@@ -39,23 +39,17 @@ def run(out="LINT_workloads.json", quick=False, verbose=True):
         for diagnostic in file_report.diagnostics:
             by_severity[diagnostic.severity] += 1
         errors += by_severity["error"]
-        groups = file_report.facts.parallel_groups
         report["workloads"][name] = {
             "rules": file_report.rules,
             "analysis_time_s": round(elapsed, 6),
             "diagnostics": [d.to_json() for d in file_report.diagnostics],
             "severity_counts": by_severity,
             "facts": file_report.facts.to_json(),
-            "certified_groups": {
-                "total": len(groups),
-                "multi_rule": sum(1 for g in groups if len(g.rules) > 1),
-                "largest": max((len(g.rules) for g in groups), default=0),
-            },
         }
         if verbose:
             print(
                 "%-12s %3d rules  %8.4fs  %d error(s), %d warning(s), "
-                "%d info  conflict-free=%s  groups=%d (%d multi-rule)"
+                "%d info  conflict-free=%s"
                 % (
                     name,
                     file_report.rules,
@@ -64,8 +58,6 @@ def run(out="LINT_workloads.json", quick=False, verbose=True):
                     by_severity["warning"],
                     by_severity["info"],
                     file_report.facts.conflict_free,
-                    len(groups),
-                    sum(1 for g in groups if len(g.rules) > 1),
                 )
             )
     report["summary"] = {

@@ -10,13 +10,10 @@ derived speedups: each delta strategy over naive (on the default
 compiled backend) and compiled over interpreted per strategy.  A
 storage leg additionally times both relation layouts (``columnar`` and
 ``row``) under both matcher backends and derives the columnar-over-row
-speedup per backend.  A groups leg times every strategy with the
-certified-parallel-group batching on vs off (``facts_groups``) and
-records the certificate size per workload.  While timing, the runner
-also asserts that every (strategy, backend, storage, grouping)
-combination stays bit-identical (atoms, blocked set, rounds, restarts,
-firings), so a regression shows up as a hard failure rather than a
-silently wrong speedup.
+speedup per backend.  While timing, the runner also asserts that every
+(strategy, backend, storage) combination stays bit-identical (atoms,
+blocked set, rounds, restarts, firings), so a regression shows up as a
+hard failure rather than a silently wrong speedup.
 
 Usage::
 
@@ -34,10 +31,7 @@ all combinations, and a disabled-telemetry overhead check asserts that
 runs made *after* metered and audited runs are no slower than runs made
 before them (tolerance ``REPRO_OVERHEAD_TOLERANCE``, default 3%) —
 catching a leaked metrics registry, a leaked decision trail, and
-creeping guard costs on the null path.  The same interleave times the
-independence sanitizer (``repro.testing.sanitize``) against a
-facts-enabled run with it off, gating a clean run's sanitizer overhead
-under the same tolerance.  It also writes two
+creeping guard costs on the null path.  It also writes two
 CI-uploadable artifacts next to the report: a Prometheus text snapshot
 (``<out stem>.prom``) and a CRC-framed decision-trail file
 (``<out stem>.audit``) that ``repro audit`` can inspect directly.
@@ -50,9 +44,7 @@ import sys
 import time
 
 from repro.engine.match import clear_compile_cache, set_matcher_backend
-from repro.lint import ProgramFacts
 from repro.obs import Metrics
-from repro.testing import sanitize as _sanitize
 from repro.obs.audit import AuditLog, DecisionTrail
 from repro.obs.export import write_prometheus
 from repro.obs.profile import PHASES
@@ -136,53 +128,6 @@ def _time_facts_run(workload, repeats):
         if best is None or elapsed < best:
             best = elapsed
     return best, result
-
-
-def _groups_leg(name, workload, repeats, baseline):
-    """Group-batched collection on vs off, per strategy (compiled backend).
-
-    Times every strategy twice with static facts enabled — once with the
-    certified-group batching gate on (the default) and once with
-    ``facts_groups=False`` — asserts both fingerprints reproduce the
-    ungated baseline bit-for-bit, and derives the on/off speedup.  Also
-    records the certificate itself: how many parallel groups the
-    analysis found and how many hold more than one rule.
-    """
-    facts = ProgramFacts.analyze(workload.program)
-    leg = {
-        "parallel_groups": len(facts.parallel_groups),
-        "multi_rule_groups": sum(
-            1 for group in facts.parallel_groups if len(group.rules) > 1
-        ),
-    }
-    set_matcher_backend("compiled")
-    clear_compile_cache()
-    for strategy in STRATEGIES:
-        cell = {}
-        for label, options in (
-            ("grouped", {"facts": True}),
-            ("ungrouped", {"facts": True, "facts_groups": False}),
-        ):
-            best = None
-            result = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = workload.run(evaluation=strategy, **options)
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-            if _fingerprint(result) != baseline:
-                raise AssertionError(
-                    "groups leg (%s, %s) diverged from the baseline on "
-                    "workload %s" % (strategy, label, name)
-                )
-            cell[label] = {"wall_time_s": round(best, 6)}
-        cell["groups_speedup"] = round(
-            cell["ungrouped"]["wall_time_s"] / cell["grouped"]["wall_time_s"],
-            2,
-        )
-        leg[strategy] = cell
-    return leg
 
 
 def _storage_leg(name, workload, repeats, baseline):
@@ -308,7 +253,6 @@ def _overhead_check(workloads, repeats, tolerance, verbose=True):
         timed()  # warm the compile caches outside the measurement
         trail = DecisionTrail()
         before = enabled = audited = after = None
-        facts_base = sanitized = None
         for _ in range(rounds):
             sample = timed()
             if before is None or sample < before:
@@ -319,34 +263,18 @@ def _overhead_check(workloads, repeats, tolerance, verbose=True):
             sample = timed(audit=trail)
             if audited is None or sample < audited:
                 audited = sample
-            # Sanitizer samples ride the same interleave: a facts-enabled
-            # run with the sanitizer off, then the same run with it on.
-            sample = timed(facts=True)
-            if facts_base is None or sample < facts_base:
-                facts_base = sample
-            previous = _sanitize.set_active(_sanitize.IndependenceSanitizer())
-            try:
-                sample = timed(facts=True)
-            finally:
-                _sanitize.set_active(previous)
-            if sanitized is None or sample < sanitized:
-                sanitized = sample
             sample = timed()
             if after is None or sample < after:
                 after = sample
         ratio = after / before
-        sanitize_ratio = sanitized / facts_base
         entry = {
             "disabled_before_s": round(before, 6),
             "disabled_after_s": round(after, 6),
             "enabled_s": round(enabled, 6),
             "audited_s": round(audited, 6),
-            "facts_s": round(facts_base, 6),
-            "sanitized_s": round(sanitized, 6),
             "disabled_ratio": round(ratio, 4),
             "enabled_overhead": round(enabled / before, 4),
             "audited_overhead": round(audited / before, 4),
-            "sanitize_overhead": round(sanitize_ratio, 4),
             "tolerance": tolerance,
         }
         checks[name] = entry
@@ -354,7 +282,7 @@ def _overhead_check(workloads, repeats, tolerance, verbose=True):
             print(
                 "%-12s disabled %8.4fs -> %8.4fs after metered runs "
                 "(ratio %.3f, tolerance %.2f); enabled %8.4fs (%.2fx); "
-                "audited %8.4fs (%.2fx); sanitized %8.4fs (%.2fx vs facts)"
+                "audited %8.4fs (%.2fx)"
                 % (
                     name,
                     before,
@@ -365,8 +293,6 @@ def _overhead_check(workloads, repeats, tolerance, verbose=True):
                     enabled / before,
                     audited,
                     audited / before,
-                    sanitized,
-                    sanitize_ratio,
                 )
             )
         if ratio > 1.0 + tolerance:
@@ -375,13 +301,6 @@ def _overhead_check(workloads, repeats, tolerance, verbose=True):
                 "(tolerance %.0f%%): an active registry or decision "
                 "trail leaked, or the null-telemetry fast path regressed"
                 % ((ratio - 1.0) * 100, name, tolerance * 100)
-            )
-        if sanitize_ratio > 1.0 + tolerance:
-            raise AssertionError(
-                "independence sanitizer added %.1f%% to a clean run on %s "
-                "(tolerance %.0f%%): the per-round certificate check is "
-                "no longer cheap when nothing is violated"
-                % ((sanitize_ratio - 1.0) * 100, name, tolerance * 100)
             )
     return checks
 
@@ -492,7 +411,6 @@ def run(repeats=3, out="BENCH_park.json", verbose=True, quick=False,
                     2,
                 ),
             }
-            entry["groups"] = _groups_leg(name, workload, repeats, baseline)
             entry["storage"] = _storage_leg(name, workload, repeats, baseline)
             set_storage_backend(default_storage)
             if metrics:
@@ -522,19 +440,6 @@ def run(repeats=3, out="BENCH_park.json", verbose=True, quick=False,
                         "",
                         entry["storage"]["columnar_speedup"]["compiled"],
                         entry["storage"]["columnar_speedup"]["interpreted"],
-                    )
-                )
-                print(
-                    "%-12s groups: %d certified (%d multi-rule)   "
-                    "batched/unbatched naive %.2fx  seminaive %.2fx  "
-                    "incremental %.2fx"
-                    % (
-                        "",
-                        entry["groups"]["parallel_groups"],
-                        entry["groups"]["multi_rule_groups"],
-                        entry["groups"]["naive"]["groups_speedup"],
-                        entry["groups"]["seminaive"]["groups_speedup"],
-                        entry["groups"]["incremental"]["groups_speedup"],
                     )
                 )
         if metrics:

@@ -62,8 +62,9 @@ class ActiveDatabase:
         # is configured), a path, or an AuditLog instance.  The trail of
         # the latest commit always rides on the commit's ParkResult.
         self.audit_log = None
-        self._audit_enabled = bool(audit)
-        if audit is not None and audit is not False:
+        # Not ``bool(audit)``: an AuditLog over an empty file has len 0.
+        self._audit_enabled = audit is not None and audit is not False
+        if self._audit_enabled:
             from ..obs.audit import SIDECAR_SUFFIX, AuditLog
 
             if isinstance(audit, AuditLog):
@@ -355,9 +356,15 @@ class ActiveDatabase:
         result.delta.apply(self._database, in_place=True)
         # The decision trail is appended *after* the commit point: it is
         # observability, not part of the durability contract, so a failed
-        # trail write must never un-commit an already-journaled delta.
+        # trail write is counted and must never un-commit an already-
+        # journaled delta (the torn tail is repaired on the next append).
+        m = _obs.ACTIVE
         if self.audit_log is not None and trail is not None:
-            self.audit_log.append(tx.transaction_id, trail)
+            try:
+                self.audit_log.append(tx.transaction_id, trail)
+            except OSError:
+                if m is not None:
+                    m.inc("audit.append_failures")
         self.log.append(
             CommitRecord(
                 transaction_id=tx.transaction_id,
@@ -368,7 +375,6 @@ class ActiveDatabase:
                 blocked_rules=tuple(result.blocked_rules()),
             )
         )
-        m = _obs.ACTIVE
         if m is not None:
             m.inc("active.commits")
             m.inc("active.commit_updates", len(result.delta))

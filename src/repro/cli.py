@@ -178,15 +178,8 @@ def _build_parser():
     run.add_argument(
         "--facts", action="store_true",
         help="analyze the program first and enable the static fast paths "
-        "(conflict-scan skip, auto-seminaive, dead-rule pruning, "
-        "group-batched collection); results are bit-identical",
-    )
-    run.add_argument(
-        "--sanitize", choices=["independence"], default=None,
-        help="runtime sanitizer (implies --facts): 'independence' checks "
-        "each round's observed effects against the certified parallel "
-        "groups and fails (exit 2) on a certificate violation; also "
-        "enabled by $REPRO_SANITIZE",
+        "(conflict-scan skip, auto-seminaive, dead-rule pruning); "
+        "results are bit-identical",
     )
     run.add_argument(
         "--parallel", type=int, default=None, metavar="N",
@@ -243,10 +236,6 @@ def _build_parser():
     profile.add_argument(
         "--facts", action="store_true",
         help="enable the engine's static fast paths (bit-identical results)",
-    )
-    profile.add_argument(
-        "--sanitize", choices=["independence"], default=None,
-        help="runtime sanitizer (implies --facts); see 'repro run'",
     )
     profile.add_argument(
         "--parallel", type=int, default=None, metavar="N",
@@ -425,14 +414,6 @@ def _command_run(args, out):
         tracer = Tracer()
     else:
         tracer = None
-    sanitize_spec = getattr(args, "sanitize", None)
-    sanitizer_previous = None
-    if sanitize_spec:
-        from .testing import sanitize as _sanitize
-
-        sanitizer_previous = _sanitize.set_active(
-            _sanitize.from_spec(sanitize_spec)
-        )
     engine = ParkEngine(
         policy=_make_policy(args.policy),
         blocking_mode=BlockingMode.MINIMAL
@@ -444,18 +425,13 @@ def _command_run(args, out):
         evaluation=getattr(args, "evaluation", "naive"),
         metrics=metrics,
         tracer=tracer,
-        # The sanitizer checks certificates, so it needs the facts on.
-        facts=True
-        if getattr(args, "facts", False) or sanitize_spec
-        else None,
+        facts=True if getattr(args, "facts", False) else None,
         plan_cache=DEFAULT_PLAN_CACHE,
         parallel=getattr(args, "parallel", None),
     )
     try:
         result = engine.run(program, database, updates=updates)
     finally:
-        if sanitize_spec:
-            _sanitize.set_active(sanitizer_previous)
         # Engine errors still surface (exit 2 via main), but whatever
         # telemetry was recorded up to the failure is flushed first.
         if tracer is not None and args.trace_out:
@@ -505,13 +481,6 @@ def _command_profile(args, out):
     updates = [_parse_update(u) for u in args.update]
     metrics = Metrics()
     tracer = Tracer() if args.trace_out or args.chrome_out else None
-    sanitizer_previous = None
-    if args.sanitize:
-        from .testing import sanitize as _sanitize
-
-        sanitizer_previous = _sanitize.set_active(
-            _sanitize.from_spec(args.sanitize)
-        )
     engine = ParkEngine(
         policy=_make_policy(args.policy),
         blocking_mode=BlockingMode.MINIMAL
@@ -522,7 +491,7 @@ def _command_profile(args, out):
         evaluation=args.evaluation,
         metrics=metrics,
         tracer=tracer,
-        facts=True if args.facts or args.sanitize else None,
+        facts=True if args.facts else None,
         plan_cache=DEFAULT_PLAN_CACHE,
         parallel=args.parallel,
     )
@@ -545,13 +514,9 @@ def _command_profile(args, out):
         result = engine.run(program, database, updates=updates)
     except EngineError as engine_error:
         # Report the partial profile: everything recorded up to the
-        # failure is still valid telemetry (a SanitizerError lands here
-        # too — the certificate violation is the profile's headline).
+        # failure is still valid telemetry.
         error = engine_error
         meta["error"] = str(engine_error)
-    finally:
-        if args.sanitize:
-            _sanitize.set_active(sanitizer_previous)
     wall_time = perf_counter() - start
     if tracer is not None and args.trace_out:
         _flush_trace(tracer, args.trace_out, out)

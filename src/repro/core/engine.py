@@ -27,21 +27,14 @@ Static fast paths (DESIGN.md §8): construct with ``facts=True`` (analyze
 at run start) or a precomputed :class:`~repro.lint.facts.ProgramFacts`,
 and the run may (a) skip per-round conflict detection when the program is
 statically conflict-free, (b) route a stratifiable program from the
-``naive`` strategy onto ``seminaive``, (c) prune statically-dead
-rules from matcher compilation, and (d) batch ``Γ`` collection per
-certified independent rule group (the commutativity analysis's PARK043
-certificate).  Each path is individually gated
-(``facts_conflict_skip`` / ``facts_seminaive`` / ``facts_prune`` /
-``facts_groups``) and semantics-preserving: the run's fingerprint
-(atoms, blocked, rounds, restarts, firings) is bit-identical to the
-ungated run.  Facts that do not describe the run program ``P_U``
-(transaction rules change the emitters) are re-derived against it, with
-the run's database sharpening liveness — soundness never rests on the
-caller.  With the independence sanitizer active
-(``REPRO_SANITIZE=independence``, see :mod:`repro.testing.sanitize`),
-every consistent round's observed reads and writes are checked against
-the group certificate and a violation raises
-:class:`~repro.testing.sanitize.SanitizerError` (exit 2 via the CLI).
+``naive`` strategy onto ``seminaive``, and (c) prune statically-dead
+rules from matcher compilation.  Each path is individually gated
+(``facts_conflict_skip`` / ``facts_seminaive`` / ``facts_prune``) and
+semantics-preserving: the run's fingerprint (atoms, blocked, rounds,
+restarts, firings) is bit-identical to the ungated run.  Facts that do
+not describe the run program ``P_U`` (transaction rules change the
+emitters) are re-derived against it, with the run's database sharpening
+liveness — soundness never rests on the caller.
 """
 
 from __future__ import annotations
@@ -49,12 +42,10 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
-from ..engine.planner import group_schedule
 from ..errors import NonTerminationError
 from ..lang.program import Program
 from ..obs import audit as _audit
 from ..obs import metrics as _obs
-from ..testing import sanitize as _sanitize
 from ..policies.base import as_policy
 from ..storage.catalog import INTERNER
 from ..storage.database import Database, ensure_storage
@@ -143,7 +134,6 @@ class ParkEngine:
         facts_conflict_skip=True,
         facts_seminaive=True,
         facts_prune=True,
-        facts_groups=True,
         plan_cache=None,
         parallel=None,
     ):
@@ -176,7 +166,6 @@ class ParkEngine:
         self.facts_conflict_skip = facts_conflict_skip
         self.facts_seminaive = facts_seminaive
         self.facts_prune = facts_prune
-        self.facts_groups = facts_groups
         # ``plan_cache``: an optional engine.plancache.PlanCache consulted
         # whenever facts must be (re)derived, so repeated runs of the same
         # program (ActiveDatabase commits, benchmark reps) skip re-analysis.
@@ -291,7 +280,6 @@ class ParkEngine:
         skip_conflict_scan = False
         evaluation_name = self.evaluation
         matcher_program = run_program
-        groups = None
         if facts is not None:
             skip_conflict_scan = self.facts_conflict_skip and facts.conflict_free
             if (
@@ -306,12 +294,6 @@ class ParkEngine:
                 # Dead rules can never fire, so the matcher need not
                 # compile or probe them; firings are unchanged.
                 matcher_program = facts.live_program(run_program)
-            if self.facts_groups and facts.parallel_groups:
-                # Group-batched collection: the schedule covers exactly
-                # the live rules, in certified-independent batches; the
-                # strategies fold unscheduled (dead, when pruning is off)
-                # rules into a trailing batch of their own.
-                groups = group_schedule(run_program, facts)
             if metrics is not None:
                 metrics.gauge(
                     "engine.facts_conflict_free", int(facts.conflict_free)
@@ -320,10 +302,6 @@ class ParkEngine:
                 metrics.gauge(
                     "engine.facts_auto_seminaive",
                     int(evaluation_name != self.evaluation),
-                )
-                metrics.gauge(
-                    "engine.facts_parallel_groups",
-                    len(groups) if groups is not None else 0,
                 )
 
         if trail is not None:
@@ -337,7 +315,7 @@ class ParkEngine:
             from ..engine.parallel import ParallelExecutor
 
             candidate = ParallelExecutor(self.parallel)
-            if candidate.begin_run(tuple(matcher_program), original, groups=groups):
+            if candidate.begin_run(tuple(matcher_program), original):
                 executor = candidate
 
         stats = RunStats()
@@ -348,13 +326,9 @@ class ParkEngine:
         if executor is not None:
             executor.begin_epoch()
         evaluator = make_evaluation(
-            evaluation_name, matcher_program, blocked, groups=groups, executor=executor
+            evaluation_name, matcher_program, blocked, executor=executor
         )
         last_new_updates = None
-        # The independence sanitizer (REPRO_SANITIZE=independence) checks
-        # each consistent round's observed effects against the certified
-        # parallel groups; one pointer test per round when disabled.
-        sanitizer = _sanitize.ACTIVE if facts is not None else None
         if metrics is not None:
             metrics.inc("engine.runs")
             metrics.gauge("engine.input_atoms", len(original))
@@ -394,8 +368,6 @@ class ParkEngine:
                     self._emit("on_round", stats.rounds, epoch, result)
 
                 if result.is_consistent:
-                    if sanitizer is not None:
-                        sanitizer.check_round(facts, result.firings, stats.rounds)
                     provenance.record(result.firings, round_number=stats.rounds)
                     if result.reached_fixpoint:
                         if tracer is not None:
@@ -485,11 +457,7 @@ class ParkEngine:
                     # parent's interpretation just did.
                     executor.begin_epoch()
                 evaluator = make_evaluation(
-                    evaluation_name,
-                    matcher_program,
-                    blocked,
-                    groups=groups,
-                    executor=executor,
+                    evaluation_name, matcher_program, blocked, executor=executor
                 )
                 last_new_updates = None
                 if metrics is not None:

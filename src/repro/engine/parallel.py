@@ -27,8 +27,7 @@ by the payload set).  The parent merges per-rule payload unions in sorted
 order and the downstream consumers (``GammaResult``, conflicts, traces)
 are order-insensitive, so a parallel run is fingerprint-identical to the
 sequential engine — property-tested in
-``tests/property/test_parallel.py`` and gated in CI by the independence
-sanitizer running *on top of* parallel execution.
+``tests/property/test_parallel.py``.
 
 Workers are spawn-safe: the process-global intern table is re-seeded from
 the parent's id→value prefix (:meth:`InternTable.load_prefix`) and later
@@ -57,7 +56,6 @@ from ..lang.substitution import Substitution
 from ..lang.terms import Constant, Variable
 from ..lang.updates import Update, UpdateOp
 from ..obs import metrics as _obs
-from .planner import shard_plan
 
 
 #: Databases smaller than this keep the sequential path: process fan-out
@@ -525,11 +523,10 @@ class ParallelExecutor:
         self._sorted = {}  # rule index -> payloads sorted by repr
         self._shipped = set()
         self._shipped_stamp = -1
-        self.plan = None
 
     # -- lifecycle --------------------------------------------------------------
 
-    def begin_run(self, program_rules, database, groups=None):
+    def begin_run(self, program_rules, database):
         """Start workers for one run.  Returns False to decline (stay sequential)."""
         from ..storage.catalog import INTERNER
         from ..storage.relation import get_storage_backend
@@ -544,14 +541,13 @@ class ParallelExecutor:
             self._index_of.setdefault(rule, position)
         self._svars = tuple(_sorted_binding_variables(rule) for rule in rules)
         self._instance_memo = {}
-        self.plan = shard_plan(rules, groups, self.nworkers)
         init = {
             "storage": get_storage_backend(),
             "matcher": get_matcher_backend(),
             "intern": INTERNER.snapshot_values(),
             "rules": tuple(_encode_rule(rule) for rule in rules),
             "db": _encode_database(database),
-            "nshards": self.plan.nshards,
+            "nshards": self.nworkers,
             # Metered runs get worker-local registries whose counter deltas
             # ride back on every collect; unmetered runs keep the workers on
             # the null-telemetry fast path.
@@ -579,8 +575,6 @@ class ParallelExecutor:
         m = _obs.ACTIVE
         if m is not None:
             m.gauge("parallel.workers", self.nworkers)
-            m.gauge("parallel.shards", self.plan.nshards)
-            m.gauge("parallel.batches", len(self.plan.batches))
         return True
 
     def begin_epoch(self):

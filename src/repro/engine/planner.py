@@ -113,94 +113,6 @@ def plan_body(rule, view=None):
     return tuple(steps)
 
 
-def group_schedule(program, facts):
-    """The certified group-batched rule schedule for *program*.
-
-    Maps the :class:`~repro.lint.facts.ProgramFacts` parallel groups
-    (live rule indices) onto *program*'s rule objects: a tuple of rule
-    batches, ordered by (stratum, color), covering exactly the live
-    rules.  Rules within a batch have pairwise disjoint effect sets
-    under unification (see :mod:`repro.lint.commutativity`), so the
-    evaluation strategies may collect their firings in any order — or in
-    parallel — without changing the round's result.
-
-    Raises :class:`ValueError` when *facts* do not describe *program*:
-    scheduling with a stale certificate would be unsound.
-    """
-    if not facts.matches(program):
-        raise ValueError(
-            "ProgramFacts were computed for a different program; "
-            "re-run ProgramFacts.analyze on the program being scheduled"
-        )
-    rules = tuple(program)
-    schedule = tuple(
-        tuple(rules[index] for index in group.rules)
-        for group in facts.parallel_groups
-    )
-    m = _obs.ACTIVE
-    if m is not None:
-        m.inc("planner.group_schedules")
-    return schedule
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A group schedule lowered to a shard execution plan.
-
-    ``batches`` holds rule *indices* (into the run program) in certified
-    batch order — the units a parallel executor hands out wholesale —
-    and ``nshards`` is the data-partitioning width each batch fans out
-    over.  Indices rather than rules: the plan crosses a process
-    boundary, and workers address rules positionally.
-    """
-
-    batches: tuple
-    nshards: int
-
-    @property
-    def rule_count(self):
-        return sum(len(batch) for batch in self.batches)
-
-
-def shard_plan(rules, groups, nshards):
-    """Lower the certified group schedule for *rules* to a :class:`ShardPlan`.
-
-    *groups* is a :func:`group_schedule` result (or ``None`` for plain
-    program order — one batch of everything).  Mirrors the strategies'
-    batching exactly: each batch keeps the schedule's rule order
-    restricted to *rules*, and rules absent from every group trail in a
-    final batch of their own.
-    """
-    rules = tuple(rules)
-    index_of = {}
-    for position, rule in enumerate(rules):
-        index_of.setdefault(rule, position)
-    if groups is None:
-        batches = (tuple(range(len(rules))),) if rules else ()
-    else:
-        scheduled = set()
-        built = []
-        for group in groups:
-            batch = []
-            for rule in group:
-                position = index_of.get(rule)
-                if position is not None and position not in scheduled:
-                    scheduled.add(position)
-                    batch.append(position)
-            if batch:
-                built.append(tuple(batch))
-        leftover = tuple(
-            position for position in range(len(rules)) if position not in scheduled
-        )
-        if leftover:
-            built.append(leftover)
-        batches = tuple(built)
-    m = _obs.ACTIVE
-    if m is not None:
-        m.inc("planner.shard_plans")
-    return ShardPlan(batches=batches, nshards=int(nshards))
-
-
 def explain_plan(rule):
     """Human-readable plan description, one line per step (for debugging)."""
     lines = []

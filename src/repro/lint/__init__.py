@@ -3,28 +3,18 @@
 A multi-pass analyzer over leniently parsed programs: safety
 (range-restriction), dependency analysis (stratification), conflict-pair
 analysis (the static side of the paper's ``conflicts(P, I)`` and the
-SELECT policy), reachability (dead rules, event hygiene), and effect /
-commutativity analysis (same-stratum interference, certified parallel
-groups).  Findings are :class:`Diagnostic` objects with stable
-``PARK0xx`` codes (see ``docs/lint.md``); the non-diagnostic product is
-:class:`ProgramFacts`, which the engine consumes to skip conflict
-detection, choose the seminaive fast path, prune dead rules, and batch
-``Γ`` collection per certified independent group — each gated and
+SELECT policy), and reachability (dead rules, event hygiene).  Findings are
+:class:`Diagnostic` objects with stable ``PARK0xx`` codes (see
+``docs/lint.md``); the non-diagnostic product is :class:`ProgramFacts`,
+which the engine consumes to skip conflict detection, choose the
+seminaive fast path, and prune dead rules — each gated and
 fingerprint-preserving (see ``core/engine.py``).
 """
 
 from .analyzer import analyze_path, analyze_text
 from .codes import CODES, ERROR, INFO, WARNING, severity_of, title_of
-from .commutativity import (
-    InterferencePair,
-    ParallelGroup,
-    certify_groups,
-    check_commutativity,
-    rule_strata,
-)
 from .conflicts import check_conflicts
 from .diagnostics import Diagnostic, FileReport, LintReport
-from .effects import ReadEffect, RuleEffects, WriteEffect, compute_effects
 from .facts import ConflictPair, ProgramFacts, UnmatchedEvent, atoms_may_unify
 from .graphs import check_graph
 from .reachability import check_reachability
@@ -37,26 +27,17 @@ __all__ = [
     "ERROR",
     "FileReport",
     "INFO",
-    "InterferencePair",
     "LintReport",
-    "ParallelGroup",
     "ProgramFacts",
-    "ReadEffect",
-    "RuleEffects",
     "UnmatchedEvent",
     "WARNING",
-    "WriteEffect",
     "analyze_path",
     "analyze_text",
     "atoms_may_unify",
-    "certify_groups",
-    "check_commutativity",
     "check_conflicts",
     "check_graph",
     "check_reachability",
     "check_safety",
-    "compute_effects",
-    "rule_strata",
     "severity_of",
     "title_of",
 ]

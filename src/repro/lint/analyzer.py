@@ -3,7 +3,7 @@
 :func:`analyze_text` is the one entry point the CLI, the engine helpers,
 and the tests share: it parses leniently (collecting every syntax,
 schema, and safety problem instead of stopping at the first), computes
-:class:`~repro.lint.facts.ProgramFacts`, runs the five analysis passes,
+:class:`~repro.lint.facts.ProgramFacts`, runs the four analysis passes,
 and returns a :class:`~repro.lint.diagnostics.FileReport`.
 
 The parser's own issues map onto codes here — ``PARK001`` (syntax),
@@ -18,7 +18,6 @@ import re
 
 from ..lang.parser import parse_source
 from ..lang.source import ARITY, DUPLICATE_NAME, SYNTAX
-from .commutativity import check_commutativity
 from .conflicts import check_conflicts
 from .diagnostics import Diagnostic, FileReport
 from .facts import ProgramFacts
@@ -74,7 +73,6 @@ def analyze_text(text, path=None, policy=None, database=None):
     diagnostics.extend(check_graph(rules, spans))
     diagnostics.extend(check_conflicts(rules, facts, spans, policy=policy))
     diagnostics.extend(check_reachability(rules, facts, spans))
-    diagnostics.extend(check_commutativity(rules, facts, spans))
 
     return FileReport(
         path=path,

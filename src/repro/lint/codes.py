@@ -6,9 +6,12 @@ never renumbered or reused.  Grouping follows the analyzer's passes —
 * ``PARK00x`` — parsing and schema (syntax, safety, arity, names);
 * ``PARK01x`` — dependency analysis (stratification, negation);
 * ``PARK02x`` — conflict-pair analysis (static ``conflicts(P, I)``);
-* ``PARK03x`` — reachability and event hygiene;
-* ``PARK04x`` — effect and commutativity analysis (interference between
-  same-stratum rules, certified parallel groups).
+* ``PARK03x`` — reachability and event hygiene.
+
+The ``PARK04x`` range (effect and commutativity analysis) is retired
+and stays unassigned: ``Γ`` collects every firing against one fixed ``I``,
+so collection order is unobservable, and delete/insert overlap is
+``PARK020``.
 
 ``docs/lint.md`` renders this table; keep the two in sync.
 """
@@ -60,30 +63,6 @@ CODES = {
         WARNING,
         "unmatched event: no rule emits this event (only a transaction "
         "update could trigger it)",
-    ),
-    # PARK04x are info, like PARK020: interference between rules is
-    # usually intended program structure (delete/insert pairs are what
-    # the SELECT policy exists for), surfaced so authors can see which
-    # rules are — and are not — certified to fire independently.
-    "PARK040": (
-        INFO,
-        "read-write race: one rule's head may ground an atom another "
-        "same-stratum rule's body reads",
-    ),
-    "PARK041": (
-        INFO,
-        "write-write overlap: two same-stratum rule heads can mark the "
-        "same ground atom with the same polarity",
-    ),
-    "PARK042": (
-        INFO,
-        "non-commutative pair: two same-stratum rule heads can mark the "
-        "same ground atom with opposite polarities",
-    ),
-    "PARK043": (
-        INFO,
-        "certified parallel groups: rules with pairwise disjoint effects "
-        "that may fire in any order or in parallel",
     ),
 }
 

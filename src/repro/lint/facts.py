@@ -23,14 +23,6 @@ over-approximation of what the program can do at runtime —
   PARK coincides with the stratified baseline on the deductive fragment
   and the semi-naive evaluation strategy's monotone split is maximally
   effective.
-* **effects and parallel groups** — per-rule read/write effect sets
-  (:mod:`repro.lint.effects`), the same-stratum interference matrix, and
-  the certified independent rule groups the commutativity pass colors
-  out of the non-interference graph (:mod:`repro.lint.commutativity`);
-  the engine batches ``Γ`` collection per group
-  (``ParkEngine(facts_groups=...)``) and the runtime independence
-  sanitizer (:mod:`repro.testing.sanitize`) cross-checks the certificate
-  against the atoms rules actually touch.
 
 Soundness of the database-agnostic form: with no database in hand every
 positive condition is assumed satisfiable (any predicate may have EDB
@@ -140,20 +132,6 @@ class ProgramFacts:
     conflict_pairs: Tuple[ConflictPair, ...]
     unmatched_events: Tuple[UnmatchedEvent, ...]
     database_aware: bool = False
-    #: Per-rule effect signatures (lint.effects.RuleEffects), rule order.
-    effects: Tuple = ()
-    #: Per-rule stratum numbers (by head predicate; all zero when the
-    #: program is unstratifiable), rule order.
-    rule_strata: Tuple[int, ...] = ()
-    #: Same-stratum live rule pairs whose effects may overlap
-    #: (lint.commutativity.InterferencePair).
-    interference: Tuple = ()
-    #: Certified independent rule groups covering exactly the live rules
-    #: (lint.commutativity.ParallelGroup): within a group, effects are
-    #: pairwise disjoint under unification, so collect/apply order is
-    #: unobservable — the engine's group-batched scheduling and the
-    #: runtime independence sanitizer both consume this certificate.
-    parallel_groups: Tuple = ()
 
     # -- derived ------------------------------------------------------------
 
@@ -199,10 +177,6 @@ class ProgramFacts:
             "dead_rules": list(self.dead),
             "unmatched_events": [e.to_json() for e in self.unmatched_events],
             "database_aware": self.database_aware,
-            "effects": [effect.to_json() for effect in self.effects],
-            "rule_strata": list(self.rule_strata),
-            "interference": [pair.to_json() for pair in self.interference],
-            "parallel_groups": [g.to_json() for g in self.parallel_groups],
         }
 
     # -- construction --------------------------------------------------------
@@ -321,19 +295,6 @@ class ProgramFacts:
             for literal in rule.body
             if isinstance(literal, Condition) and not literal.positive
         )
-
-        # Effect and commutativity analysis: per-rule read/write sets,
-        # the same-stratum interference matrix over live rules, and the
-        # certified independent groups (lazy imports keep the module
-        # dependency order acyclic: commutativity imports from here).
-        from .commutativity import certify_groups, rule_strata
-        from .effects import compute_effects
-
-        effects = compute_effects(rules)
-        strata = rule_strata(rules, graph)
-        interference, parallel_groups = certify_groups(
-            rules, effects, strata, live
-        )
         return cls(
             rules=rules,
             stratifiable=graph.is_stratifiable(),
@@ -345,8 +306,4 @@ class ProgramFacts:
             conflict_pairs=tuple(conflict_pairs),
             unmatched_events=tuple(unmatched),
             database_aware=has_rows is not None,
-            effects=effects,
-            rule_strata=strata,
-            interference=interference,
-            parallel_groups=parallel_groups,
         )

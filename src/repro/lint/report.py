@@ -38,14 +38,6 @@ def _render_facts(facts, out):
         out.write(
             "dead rules : %s\n" % ", ".join(str(i) for i in facts.dead)
         )
-    if facts.parallel_groups:
-        out.write(
-            "parallel groups: %d (sizes %s)\n"
-            % (
-                len(facts.parallel_groups),
-                ", ".join(str(len(g.rules)) for g in facts.parallel_groups),
-            )
-        )
 
 
 def render_file_report(report, out):

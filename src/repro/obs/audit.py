@@ -444,7 +444,13 @@ class AuditLog:
         data = (_render_audit_record(transaction_id, events) + "\n").encode(
             "utf-8"
         )
-        self._fs.append(self.path, data, sync=False)
+        try:
+            self._fs.append(self.path, data, sync=False)
+        except Exception:
+            # A failed write may leave a torn prefix past the good offset;
+            # the next append truncates it before writing.
+            self._needs_repair = True
+            raise
         self._good_offset += len(data)
         m = _obs.ACTIVE
         if m is not None:

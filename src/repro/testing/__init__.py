@@ -1,21 +1,15 @@
 """Test-support machinery shipped with the package.
 
 :mod:`repro.testing.faults` holds the fault-injection file layer used to
-prove the commit pipeline crash-safe (``tests/faults/``);
-:mod:`repro.testing.sanitize` holds the runtime independence sanitizer
-that cross-checks the lint pass's parallel-group certificates
-(``REPRO_SANITIZE=independence``).  They live under ``src`` rather than
-``tests`` so downstream users embedding the active database can run the
-same drills against their own setups.
+prove the commit pipeline crash-safe (``tests/faults/``).  It lives under
+``src`` rather than ``tests`` so downstream users embedding the active
+database can run the same drills against their own setups.
 """
 
 from .faults import FaultyFS, SimulatedCrash, crash_points, record_boundaries
-from .sanitize import IndependenceSanitizer, SanitizerError
 
 __all__ = [
     "FaultyFS",
-    "IndependenceSanitizer",
-    "SanitizerError",
     "SimulatedCrash",
     "crash_points",
     "record_boundaries",

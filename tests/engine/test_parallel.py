@@ -3,8 +3,7 @@
 The property suite (``tests/property/test_parallel.py``) establishes
 parallel/sequential bit-identity on random programs; here the executor's
 moving parts are pinned down directly: the wire codecs (no lang object
-ever crosses the pipe with a cached hash), the shard plan, the decline
-conditions, the delta-response merge bookkeeping, and a deterministic
+ever crosses the pipe with a cached hash), the decline conditions, the delta-response merge bookkeeping, and a deterministic
 engine matrix over the scenarios the random generator reaches rarely —
 conflicts with restarts, negation, events, transaction updates, and a
 program listing the same rule twice.
@@ -28,7 +27,6 @@ from repro.engine.parallel import (
     _encode_rule,
     _sorted_binding_variables,
 )
-from repro.engine.planner import shard_plan
 from repro.lang import parse_program, parse_atom
 from repro.lang.updates import Update, UpdateOp
 from repro.storage.database import Database
@@ -206,20 +204,3 @@ class TestExecutorLifecycle:
         finally:
             executor.close()
 
-
-class TestShardPlan:
-    def test_all_rules_scheduled_once(self):
-        rules = tuple(parse_program("p(X) -> +a(X). p(X) -> +b(X). p(X) -> +c(X)."))
-        plan = shard_plan(rules, None, 4)
-        scheduled = [index for batch in plan.batches for index in batch]
-        assert sorted(scheduled) == [0, 1, 2]
-        assert plan.nshards == 4
-        assert plan.rule_count == 3
-
-    def test_groups_shape_batches(self):
-        rules = tuple(parse_program("p(X) -> +a(X). p(X) -> +b(X). p(X) -> +c(X)."))
-        groups = ((rules[0], rules[2]),)
-        plan = shard_plan(rules, groups, 2)
-        scheduled = [index for batch in plan.batches for index in batch]
-        assert sorted(scheduled) == [0, 1, 2]
-        assert (0, 2) in plan.batches

@@ -1,7 +1,7 @@
 """Engine fast paths from ProgramFacts are fingerprint-preserving.
 
 For every gated path (conflict-scan skip, auto-seminaive routing,
-dead-rule pruning, group-batched collection) the semantic fingerprint —
+dead-rule pruning) the semantic fingerprint —
 final atoms, blocked set, rounds, restarts, and total firings — must be
 bit-identical to the ungated run, across all three evaluation strategies
 and both matcher backends.
@@ -25,7 +25,7 @@ from repro.storage.database import Database
 
 STRATEGIES = ("naive", "seminaive", "incremental")
 BACKENDS = ("compiled", "interpreted")
-GATES = ("facts_conflict_skip", "facts_seminaive", "facts_prune", "facts_groups")
+GATES = ("facts_conflict_skip", "facts_seminaive", "facts_prune")
 
 CONFLICT_FREE = parse_program(
     """
@@ -175,8 +175,8 @@ def backend(request):
         clear_compile_cache()
 
 
-class TestGroupBatching:
-    """The certified-group collection order is semantics-neutral."""
+class TestBackendMatrix:
+    """Facts-on runs match facts-off runs on both matcher backends."""
 
     @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("evaluation", STRATEGIES)
@@ -185,26 +185,7 @@ class TestGroupBatching:
         [(CONFLICT_FREE, CONFLICT_FREE_DB), (CONFLICTING, "")],
         ids=("conflict-free", "conflicting"),
     )
-    def test_groups_on_vs_off(self, evaluation, backend, program, db_text):
+    def test_facts_on_vs_off(self, evaluation, backend, program, db_text):
         base = run(program, db_text, evaluation=evaluation)
-        ungrouped = run(
-            program, db_text, facts=True, facts_groups=False,
-            evaluation=evaluation,
-        )
-        grouped = run(program, db_text, facts=True, evaluation=evaluation)
-        assert fingerprint(base) == fingerprint(ungrouped)
-        assert fingerprint(base) == fingerprint(grouped)
-
-    def test_metrics_report_group_engagement(self):
-        metrics = Metrics()
-        run(CONFLICTING, "", facts=True, metrics=metrics)
-        # quickstart-shaped program: two certified groups of two rules.
-        assert metrics.gauges["engine.facts_parallel_groups"] == 2
-        assert metrics.counters["planner.group_schedules"] == 1
-        assert metrics.counters["eval.group_batches"] > 0
-
-    def test_gate_off_skips_schedule(self):
-        metrics = Metrics()
-        run(CONFLICTING, "", facts=True, facts_groups=False, metrics=metrics)
-        assert "planner.group_schedules" not in metrics.counters
-        assert "eval.group_batches" not in metrics.counters
+        fast = run(program, db_text, facts=True, evaluation=evaluation)
+        assert fingerprint(base) == fingerprint(fast)

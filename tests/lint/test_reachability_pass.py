@@ -26,10 +26,8 @@ class TestUnmatchedEvents:
         assert "-p" in diag.message
 
     def test_matched_event_is_clean(self):
-        # No reachability finding; the commutativity pass reports the
-        # (info) read-write coupling through the +p event.
         report = analyze_text("q(X) -> +p(X). +p(X) -> +r(X).")
-        assert codes(report) == ["PARK040"]
+        assert codes(report) == []
 
     def test_no_duplicate_park030_for_event_dead_rules(self):
         # The unmatched event already explains why the rule is dead.
@@ -64,7 +62,5 @@ class TestDeadRules:
         db = Database(parse_database("p(a)."))
         text = "p(X) -> +idb(X). idb(X) -> +out(X)."
         report = analyze_text(text, database=db)
-        # PARK040 (info) is the derivation chain itself: rule 0's head
-        # feeds rule 1's body.  No reachability findings.
-        assert codes(report) == ["PARK040"]
+        assert codes(report) == []
         assert report.facts.dead == ()

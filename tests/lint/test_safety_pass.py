@@ -27,11 +27,9 @@ class TestUnsafeHead:
         assert "Y" in diag.message and "Z" in diag.message
 
     def test_event_literals_bind(self):
-        # Events are matched against the marked sets, so they bind.  The
-        # only finding is the commutativity pass's (info) read-write
-        # coupling — each rule's head feeds the other's body.
+        # Events are matched against the marked sets, so they bind.
         report = analyze_text("q(Y) -> +p(Y). +p(X) -> +q(X).")
-        assert codes(report) == ["PARK040"]
+        assert codes(report) == []
 
 
 class TestUnsafeNegation:

@@ -1,13 +1,13 @@
-"""The commutativity certificate is sound on random programs.
+"""The static conflict pairs (PARK020) are sound on random programs.
 
 The sequential oracle: match both rules of a pair against the *same*
 initial database (closed-world view — the raw material ``Γ`` collects in
 a round), then apply the two ground update sets in both orders.  If the
 two orders disagree on the final database, the pair inserted and deleted
-the same ground atom — exactly what ``PARK042`` (delete-insert
-interference) over-approximates.  So for every pair the analysis did
-*not* flag PARK042, both orders must be bit-identical; and a fortiori
-rules sharing a certified parallel group must commute.
+the same ground atom — a runtime conflict, which
+``ProgramFacts.conflict_pairs`` over-approximates.  So every divergent
+pair must be a witness pair (one rule among the ``insert_rules``, the
+other among the ``delete_rules``) of some conflict-pair entry.
 
 Runs the oracle over 200+ random workloads (25 seeds x 8 generator
 configurations), every live rule pair each.
@@ -21,7 +21,6 @@ from repro.engine.match import fireable_heads
 from repro.engine.views import DatabaseView
 from repro.lang.updates import UpdateOp
 from repro.lint import ProgramFacts
-from repro.lint.commutativity import DELETE_INSERT
 from repro.workloads.random_programs import random_workload
 
 SEEDS = range(25)
@@ -72,6 +71,18 @@ def oracle_diverges(initial, left_updates, right_updates):
     return left_first != right_first
 
 
+def witness_pairs(facts):
+    """Every ``(low, high)`` rule-index pair witnessing a conflict pair."""
+    pairs = set()
+    for conflict in facts.conflict_pairs:
+        for insert_index in conflict.insert_rules:
+            for delete_index in conflict.delete_rules:
+                pairs.add(
+                    (min(insert_index, delete_index), max(insert_index, delete_index))
+                )
+    return pairs
+
+
 def check_workload(workload):
     """Run the oracle over every live rule pair of one workload.
 
@@ -85,15 +96,7 @@ def check_workload(workload):
         index: list(fireable_heads(program[index], view))
         for index in facts.live
     }
-    flagged = {
-        (pair.left, pair.right)
-        for pair in facts.interference
-        if pair.kind == DELETE_INSERT
-    }
-    group_of = {}
-    for group_id, group in enumerate(facts.parallel_groups):
-        for index in group.rules:
-            group_of[index] = group_id
+    witnesses = witness_pairs(facts)
 
     checked = divergent = 0
     for left, right in itertools.combinations(sorted(facts.live), 2):
@@ -101,22 +104,17 @@ def check_workload(workload):
         if not oracle_diverges(initial, updates[left], updates[right]):
             continue
         divergent += 1
-        # Soundness: a divergent pair must carry the PARK042 flag...
-        assert (left, right) in flagged, (
-            "%s: rules %d and %d do not commute but were not flagged "
-            "delete-insert" % (workload.name, left, right)
-        )
-        # ...and must never share a certified parallel group.
-        assert group_of[left] != group_of[right], (
-            "%s: non-commuting rules %d and %d share a parallel group"
-            % (workload.name, left, right)
+        # Soundness: a divergent pair must witness a static conflict pair.
+        assert (left, right) in witnesses, (
+            "%s: rules %d and %d do not commute but witness no conflict "
+            "pair" % (workload.name, left, right)
         )
     return checked, divergent
 
 
-class TestCertificateSoundness:
+class TestConflictPairSoundness:
     @pytest.mark.parametrize("config", range(len(CONFIGS)))
-    def test_unflagged_pairs_commute(self, config):
+    def test_divergent_pairs_are_witnessed(self, config):
         options = dict(CONFIGS[config])
         num_rules = options.pop("num_rules")
         num_facts = options.pop("num_facts")
@@ -152,6 +150,6 @@ class TestCertificateSoundness:
         left = list(fireable_heads(program[0], view))
         right = list(fireable_heads(program[1], view))
         assert oracle_diverges(initial, left, right)
-        # and the analysis flags it, keeping check_workload meaningful
+        # and the analysis witnesses it, keeping check_workload meaningful
         facts = ProgramFacts.analyze(program)
-        assert [pair.kind for pair in facts.interference] == [DELETE_INSERT]
+        assert witness_pairs(facts) == {(0, 1)}
