@@ -20,13 +20,6 @@ silently drops the columnar-vs-row comparison fails CI instead of going
 unnoticed (the runner itself asserts the layouts' fingerprints agree at
 measurement time).
 
-When either report carries the ``"parallel"`` leg (``bench_parallel.py``),
-that leg is gated too: every workload must record per-worker timings for
-both backends with ``fingerprint_identical`` asserted at measurement
-time, parallel semantic fingerprints shared between the reports must
-match, and a full-size (non ``--quick``) baseline leg must show the
->1.5x speedup at 4 workers the parallel executor is committed to.
-
 Exit status 0 when every workload shared by the two reports has an
 identical fingerprint, 1 otherwise (or if either report lacks telemetry).
 """
@@ -66,66 +59,6 @@ def _check_storage_leg(report, path):
     return failures
 
 
-def _parallel_fingerprints(report):
-    """``{workload: {counter: value}}`` from the parallel leg, when carried."""
-    out = {}
-    for name, entry in report.get("parallel", {}).get("workloads", {}).items():
-        if "fingerprint" in entry:
-            out[name] = {key: value for key, value in entry["fingerprint"]}
-    return out
-
-
-def _check_parallel_leg(candidate_report, baseline_report, candidate_path,
-                        baseline_path):
-    """Completeness + identity + speedup gates on the parallel leg."""
-    failures = 0
-    leg = candidate_report.get("parallel")
-    if leg is None:
-        print("FAIL parallel leg missing from %s "
-              "(run bench_parallel.py)" % candidate_path)
-        return 1
-    for name, entry in sorted(leg.get("workloads", {}).items()):
-        missing = [
-            backend
-            for backend in ("interpreted", "compiled")
-            if not entry.get(backend, {}).get("workers_4_s")
-        ]
-        if missing or not entry.get("fingerprint_identical"):
-            failures += 1
-            print(
-                "FAIL %-12s parallel leg incomplete in %s (missing: %s)"
-                % (
-                    name,
-                    candidate_path,
-                    ", ".join(missing) or "fingerprint_identical",
-                )
-            )
-    candidate = _parallel_fingerprints(candidate_report)
-    baseline = _parallel_fingerprints(baseline_report)
-    for name in sorted(set(candidate) & set(baseline)):
-        if candidate[name] != baseline[name]:
-            failures += 1
-            print("FAIL %-12s parallel fingerprint drifted vs %s"
-                  % (name, baseline_path))
-    baseline_leg = baseline_report.get("parallel")
-    if baseline_leg and not baseline_leg.get("quick"):
-        best = baseline_leg.get("best") or {}
-        threshold = baseline_leg.get("gate_speedup", 1.5)
-        if not best or best.get("speedup_4w", 0) < threshold:
-            failures += 1
-            print(
-                "FAIL parallel speedup gate: baseline %s best is %r, "
-                "needs >= %.1fx at 4 workers"
-                % (baseline_path, best or None, threshold)
-            )
-        else:
-            print(
-                "ok   parallel leg: %s/%s %.2fx at 4 workers"
-                % (best["workload"], best["backend"], best["speedup_4w"])
-            )
-    return failures
-
-
 def check(candidate_path, baseline_path="BENCH_park.json"):
     with open(candidate_path) as handle:
         candidate_report = json.load(handle)
@@ -134,9 +67,6 @@ def check(candidate_path, baseline_path="BENCH_park.json"):
         baseline_report = json.load(handle)
     baseline = _fingerprints(baseline_report)
     storage_failures = _check_storage_leg(candidate_report, candidate_path)
-    storage_failures += _check_parallel_leg(
-        candidate_report, baseline_report, candidate_path, baseline_path
-    )
     if not candidate:
         print("error: %s carries no telemetry fingerprints "
               "(run with --metrics)" % candidate_path)

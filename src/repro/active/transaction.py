@@ -149,7 +149,14 @@ class Transaction:
     def __exit__(self, exc_type, exc, tb):
         if self._state is TxState.ACTIVE:
             if exc_type is None:
-                self.commit()
+                # The block's owner may never see this tx (the auto-commit
+                # helpers don't expose it), so a failed commit must not
+                # leave it ACTIVE and wedge the database.
+                try:
+                    self.commit()
+                except BaseException:
+                    self.rollback()
+                    raise
             else:
                 self.rollback()
         return False

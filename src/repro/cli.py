@@ -181,12 +181,6 @@ def _build_parser():
         "(conflict-scan skip, auto-seminaive, dead-rule pruning); "
         "results are bit-identical",
     )
-    run.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="collect Γ firings on N worker processes over hash-sharded "
-        "partitions (bit-identical results; defaults to $REPRO_PARALLEL; "
-        "below 2 stays sequential)",
-    )
 
     profile = commands.add_parser(
         "profile",
@@ -236,10 +230,6 @@ def _build_parser():
     profile.add_argument(
         "--facts", action="store_true",
         help="enable the engine's static fast paths (bit-identical results)",
-    )
-    profile.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="collect Γ firings on N worker processes (see 'repro run')",
     )
 
     check = commands.add_parser(
@@ -427,7 +417,6 @@ def _command_run(args, out):
         tracer=tracer,
         facts=True if getattr(args, "facts", False) else None,
         plan_cache=DEFAULT_PLAN_CACHE,
-        parallel=getattr(args, "parallel", None),
     )
     try:
         result = engine.run(program, database, updates=updates)
@@ -493,7 +482,6 @@ def _command_profile(args, out):
         tracer=tracer,
         facts=True if args.facts else None,
         plan_cache=DEFAULT_PLAN_CACHE,
-        parallel=args.parallel,
     )
     meta = {
         "rules": args.rules,
@@ -503,8 +491,6 @@ def _command_profile(args, out):
         "storage": args.storage or get_storage_backend(),
         "blocking": args.blocking,
     }
-    if engine.parallel > 1:
-        meta["parallel"] = engine.parallel
     if args.db:
         meta["db"] = args.db
     result = None

@@ -39,7 +39,6 @@ liveness — soundness never rests on the caller.
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 from ..errors import NonTerminationError
@@ -135,7 +134,6 @@ class ParkEngine:
         facts_seminaive=True,
         facts_prune=True,
         plan_cache=None,
-        parallel=None,
     ):
         if policy is None:
             from ..policies.inertia import InertiaPolicy
@@ -170,12 +168,6 @@ class ParkEngine:
         # whenever facts must be (re)derived, so repeated runs of the same
         # program (ActiveDatabase commits, benchmark reps) skip re-analysis.
         self.plan_cache = plan_cache
-        # ``parallel``: worker count for sharded Γ collection (see
-        # repro.engine.parallel); None reads REPRO_PARALLEL, and anything
-        # below 2 keeps the sequential oracle.
-        if parallel is None:
-            parallel = os.environ.get("REPRO_PARALLEL") or 0
-        self.parallel = int(parallel)
 
     # -- events ----------------------------------------------------------------
 
@@ -307,27 +299,12 @@ class ParkEngine:
         if trail is not None:
             trail.start(run_program, original, self.policy.name, evaluation_name)
 
-        # Parallel Γ collection: spawn the worker pool once per run.  The
-        # executor may decline (tiny input, <2 workers) in which case the
-        # sequential oracle runs exactly as before.
-        executor = None
-        if self.parallel > 1:
-            from ..engine.parallel import ParallelExecutor
-
-            candidate = ParallelExecutor(self.parallel)
-            if candidate.begin_run(tuple(matcher_program), original):
-                executor = candidate
-
         stats = RunStats()
         blocked = set()
         provenance = Provenance()
         interpretation = IInterpretation.from_database(original)
         epoch = 1
-        if executor is not None:
-            executor.begin_epoch()
-        evaluator = make_evaluation(
-            evaluation_name, matcher_program, blocked, executor=executor
-        )
+        evaluator = make_evaluation(evaluation_name, matcher_program, blocked)
         last_new_updates = None
         if metrics is not None:
             metrics.inc("engine.runs")
@@ -335,140 +312,130 @@ class ParkEngine:
             metrics.gauge("engine.program_rules", len(run_program))
             metrics.gauge("storage.intern_table_size", len(INTERNER))
 
-        try:
-            while True:
-                stats.rounds += 1
-                if self.max_rounds is not None and stats.rounds > self.max_rounds:
-                    raise NonTerminationError(
-                        "PARK exceeded max_rounds=%d" % self.max_rounds
-                    )
-                round_span = (
-                    tracer.begin("engine.round", round=stats.rounds, epoch=epoch)
-                    if tracer is not None
-                    else None
+        while True:
+            stats.rounds += 1
+            if self.max_rounds is not None and stats.rounds > self.max_rounds:
+                raise NonTerminationError(
+                    "PARK exceeded max_rounds=%d" % self.max_rounds
                 )
-                if metrics is not None:
-                    metrics.inc("engine.rounds")
-                    match_start = perf_counter()
-                if tracer is not None:
-                    match_span = tracer.begin("match.gamma")
-                firings = evaluator.compute(interpretation, last_new_updates)
-                if tracer is not None:
-                    tracer.end(match_span)
-                if metrics is not None:
-                    metrics.observe("phase.match", perf_counter() - match_start)
-                    metrics.inc("engine.firings", evaluator.last_firing_count)
-                result = GammaResult(
-                    interpretation, firings, assume_consistent=skip_conflict_scan
-                )
-                # Firings are counted by the strategies as they collect them,
-                # so the total is free whether or not anyone is listening.
-                stats.firings_total += evaluator.last_firing_count
-                if have_listeners:
-                    self._emit("on_round", stats.rounds, epoch, result)
+            round_span = (
+                tracer.begin("engine.round", round=stats.rounds, epoch=epoch)
+                if tracer is not None
+                else None
+            )
+            if metrics is not None:
+                metrics.inc("engine.rounds")
+                match_start = perf_counter()
+            if tracer is not None:
+                match_span = tracer.begin("match.gamma")
+            firings = evaluator.compute(interpretation, last_new_updates)
+            if tracer is not None:
+                tracer.end(match_span)
+            if metrics is not None:
+                metrics.observe("phase.match", perf_counter() - match_start)
+                metrics.inc("engine.firings", evaluator.last_firing_count)
+            result = GammaResult(
+                interpretation, firings, assume_consistent=skip_conflict_scan
+            )
+            # Firings are counted by the strategies as they collect them,
+            # so the total is free whether or not anyone is listening.
+            stats.firings_total += evaluator.last_firing_count
+            if have_listeners:
+                self._emit("on_round", stats.rounds, epoch, result)
 
-                if result.is_consistent:
-                    provenance.record(result.firings, round_number=stats.rounds)
-                    if result.reached_fixpoint:
-                        if tracer is not None:
-                            tracer.end(round_span)
-                        break
-                    last_new_updates = result.new_updates
-                    if metrics is not None:
-                        apply_start = perf_counter()
+            if result.is_consistent:
+                provenance.record(result.firings, round_number=stats.rounds)
+                if result.reached_fixpoint:
                     if tracer is not None:
-                        apply_span = tracer.begin("engine.apply")
-                    if have_listeners:
-                        # Listeners may retain the round's GammaResult, whose
-                        # interpretation must stay the pre-apply state.
-                        interpretation = result.apply()
-                    else:
-                        # No outside observer: merge the round's updates in
-                        # place instead of copying all three stores (indexes
-                        # are maintained incrementally by the relations).
-                        interpretation.add_updates(result.new_updates)
-                    if tracer is not None:
-                        tracer.end(apply_span)
                         tracer.end(round_span)
-                    if metrics is not None:
-                        metrics.observe("phase.apply", perf_counter() - apply_start)
-                    self._emit("on_apply", stats.rounds, epoch, interpretation)
-                    continue
-
-                # Conflict branch of Θ: resolve, block, restart from I∅.
+                    break
+                last_new_updates = result.new_updates
                 if metrics is not None:
-                    policy_start = perf_counter()
+                    apply_start = perf_counter()
                 if tracer is not None:
-                    policy_span = tracer.begin(
-                        "policy.resolve", round=stats.rounds, epoch=epoch
-                    )
-                conflicts = build_conflicts(result, blocked, provenance)
-                additions, decisions = resolve_conflicts(
-                    conflicts,
-                    self.policy,
-                    original,
-                    run_program,
-                    interpretation,
-                    blocked,
-                    restarts=stats.restarts,
-                    mode=self.blocking_mode,
-                )
-                if tracer is not None:
-                    tracer.end(policy_span)
-                if metrics is not None:
-                    metrics.observe("phase.policy", perf_counter() - policy_start)
-                    metrics.inc("engine.conflicts_resolved", len(decisions))
-                new_instances = additions - blocked
-                if not new_instances:
-                    raise NonTerminationError(
-                        "conflict resolution added no new blocked instances "
-                        "(policy %s cannot make progress)" % self.policy.name
-                    )
+                    apply_span = tracer.begin("engine.apply")
                 if have_listeners:
-                    self._emit(
-                        "on_conflicts",
-                        stats.rounds,
-                        epoch,
-                        tuple(conflicts),
-                        tuple(decisions),
-                        frozenset(new_instances),
-                    )
-                blocked |= new_instances
-                stats.restarts += 1
-                stats.conflicts_resolved += len(decisions)
-                if trail is not None:
-                    # Archive the dying epoch's provenance *before* the restart
-                    # clears it — the decision trail keeps what Θ discards.
-                    trail.blocked(new_instances)
-                    trail.archive_epoch(provenance)
-                    trail.restart(len(blocked))
-                if (
-                    self.max_restarts is not None
-                    and stats.restarts > self.max_restarts
-                ):
-                    raise NonTerminationError(
-                        "PARK exceeded max_restarts=%d" % self.max_restarts
-                    )
-                epoch += 1
-                interpretation = interpretation.restarted()
-                provenance.clear()
-                if executor is not None:
-                    # The workers' replicas restart from I∅ exactly like the
-                    # parent's interpretation just did.
-                    executor.begin_epoch()
-                evaluator = make_evaluation(
-                    evaluation_name, matcher_program, blocked, executor=executor
-                )
-                last_new_updates = None
-                if metrics is not None:
-                    metrics.inc("engine.restarts")
+                    # Listeners may retain the round's GammaResult, whose
+                    # interpretation must stay the pre-apply state.
+                    interpretation = result.apply()
+                else:
+                    # No outside observer: merge the round's updates in
+                    # place instead of copying all three stores (indexes
+                    # are maintained incrementally by the relations).
+                    interpretation.add_updates(result.new_updates)
                 if tracer is not None:
+                    tracer.end(apply_span)
                     tracer.end(round_span)
-                if have_listeners:
-                    self._emit("on_restart", epoch, frozenset(blocked))
-        finally:
-            if executor is not None:
-                executor.close()
+                if metrics is not None:
+                    metrics.observe("phase.apply", perf_counter() - apply_start)
+                self._emit("on_apply", stats.rounds, epoch, interpretation)
+                continue
+
+            # Conflict branch of Θ: resolve, block, restart from I∅.
+            if metrics is not None:
+                policy_start = perf_counter()
+            if tracer is not None:
+                policy_span = tracer.begin(
+                    "policy.resolve", round=stats.rounds, epoch=epoch
+                )
+            conflicts = build_conflicts(result, blocked, provenance)
+            additions, decisions = resolve_conflicts(
+                conflicts,
+                self.policy,
+                original,
+                run_program,
+                interpretation,
+                blocked,
+                restarts=stats.restarts,
+                mode=self.blocking_mode,
+            )
+            if tracer is not None:
+                tracer.end(policy_span)
+            if metrics is not None:
+                metrics.observe("phase.policy", perf_counter() - policy_start)
+                metrics.inc("engine.conflicts_resolved", len(decisions))
+            new_instances = additions - blocked
+            if not new_instances:
+                raise NonTerminationError(
+                    "conflict resolution added no new blocked instances "
+                    "(policy %s cannot make progress)" % self.policy.name
+                )
+            if have_listeners:
+                self._emit(
+                    "on_conflicts",
+                    stats.rounds,
+                    epoch,
+                    tuple(conflicts),
+                    tuple(decisions),
+                    frozenset(new_instances),
+                )
+            blocked |= new_instances
+            stats.restarts += 1
+            stats.conflicts_resolved += len(decisions)
+            if trail is not None:
+                # Archive the dying epoch's provenance *before* the restart
+                # clears it — the decision trail keeps what Θ discards.
+                trail.blocked(new_instances)
+                trail.archive_epoch(provenance)
+                trail.restart(len(blocked))
+            if (
+                self.max_restarts is not None
+                and stats.restarts > self.max_restarts
+            ):
+                raise NonTerminationError(
+                    "PARK exceeded max_restarts=%d" % self.max_restarts
+                )
+            epoch += 1
+            interpretation = interpretation.restarted()
+            provenance.clear()
+            evaluator = make_evaluation(evaluation_name, matcher_program, blocked)
+            last_new_updates = None
+            if metrics is not None:
+                metrics.inc("engine.restarts")
+            if tracer is not None:
+                tracer.end(round_span)
+            if have_listeners:
+                self._emit("on_restart", epoch, frozenset(blocked))
 
         stats.blocked_instances = len(blocked)
         if trail is not None:

@@ -115,10 +115,9 @@ class NaiveEvaluation:
 
     name = "naive"
 
-    def __init__(self, program, blocked, executor=None):
+    def __init__(self, program, blocked):
         self.program = program
         self.blocked = frozenset(blocked)
-        self._executor = executor
         self._frozen = {}  # previous round's Update -> frozenset, for reuse
         self.last_firing_count = 0
 
@@ -126,14 +125,7 @@ class NaiveEvaluation:
         """All valid unblocked firings: ``{head Update: frozenset[RuleGrounding]}``."""
         view = InterpretationView(interpretation)
         firings = {}
-        count = _collect_all(
-            self.program,
-            self.blocked,
-            view,
-            firings,
-            self._executor,
-            interpretation,
-        )
+        count = _collect_all(self.program, self.blocked, view, firings)
         self.last_firing_count = count
         # Reuse last round's frozenset when a head's instance set did not
         # change — the common case in a converging fixpoint.  Downstream
@@ -292,19 +284,8 @@ def _collect(rule, blocked, view, into):
     return added
 
 
-def _collect_all(rules, blocked, view, into, executor=None, interpretation=None):
-    """Full-match *rules* into *into*; returns the number of new instances.
-
-    With an *executor* (a :class:`repro.engine.parallel.ParallelExecutor`)
-    and the backing *interpretation*, the whole collect is offered to the
-    parallel workers first; the executor either returns the same
-    added-count with identical dedup semantics, or declines (``None``)
-    and the sequential oracle below runs instead.
-    """
-    if executor is not None and interpretation is not None:
-        added = executor.collect_all(rules, blocked, interpretation, into)
-        if added is not None:
-            return added
+def _collect_all(rules, blocked, view, into):
+    """Full-match *rules* into *into*; returns the number of new instances."""
     added = 0
     for rule in rules:
         added += _collect(rule, blocked, view, into)
@@ -342,9 +323,8 @@ class SemiNaiveEvaluation:
 
     name = "seminaive"
 
-    def __init__(self, program, blocked, executor=None):
+    def __init__(self, program, blocked):
         self.blocked = frozenset(blocked)
-        self._executor = executor
         self.monotone_rules = []
         self.volatile_rules = []
         for rule in program:
@@ -383,12 +363,7 @@ class SemiNaiveEvaluation:
         if not self._first_round_done:
             # Epoch round 1: full match of the monotone fragment.
             self._monotone_total += _collect_all(
-                self.monotone_rules,
-                self.blocked,
-                view,
-                self._accumulated,
-                self._executor,
-                interpretation,
+                self.monotone_rules, self.blocked, view, self._accumulated
             )
             self._first_round_done = True
             touched.update(self._accumulated)
@@ -424,14 +399,7 @@ class SemiNaiveEvaluation:
             return dict(frozen)
 
         firings = {head: set(instances) for head, instances in accumulated.items()}
-        count += _collect_all(
-            self.volatile_rules,
-            self.blocked,
-            view,
-            firings,
-            self._executor,
-            interpretation,
-        )
+        count += _collect_all(self.volatile_rules, self.blocked, view, firings)
         self.last_firing_count = count
         if a is not None:
             a.round(self.name, count)
@@ -461,9 +429,8 @@ class IncrementalEvaluation:
 
     name = "incremental"
 
-    def __init__(self, program, blocked, executor=None):
+    def __init__(self, program, blocked):
         self.blocked = frozenset(blocked)
-        self._executor = executor
         self.monotone_rules = []
         self.volatile_rules = []
         for rule in program:
@@ -510,12 +477,7 @@ class IncrementalEvaluation:
 
         if not self._first_round_done:
             self._monotone_total += _collect_all(
-                self.monotone_rules,
-                self.blocked,
-                view,
-                self._accumulated,
-                self._executor,
-                interpretation,
+                self.monotone_rules, self.blocked, view, self._accumulated
             )
             self._frozen = {
                 head: frozenset(instances)
@@ -579,15 +541,8 @@ EVALUATION_STRATEGIES = {
 }
 
 
-def make_evaluation(name, program, blocked, executor=None):
-    """Instantiate the strategy *name* for one epoch.
-
-    *executor* is a parallel executor (a
-    :class:`repro.engine.parallel.ParallelExecutor`, already started for
-    this run) or ``None`` for sequential collection; the full-match
-    collects route through it, with sequential fallback whenever it
-    declines.
-    """
+def make_evaluation(name, program, blocked):
+    """Instantiate the strategy *name* for one epoch."""
     try:
         factory = EVALUATION_STRATEGIES[name]
     except KeyError:
@@ -595,4 +550,4 @@ def make_evaluation(name, program, blocked, executor=None):
             "unknown evaluation strategy %r (known: %s)"
             % (name, ", ".join(sorted(EVALUATION_STRATEGIES)))
         )
-    return factory(program, blocked, executor=executor)
+    return factory(program, blocked)

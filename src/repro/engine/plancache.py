@@ -45,8 +45,9 @@ class PlanCache:
     """An LRU cache of validated :class:`ProgramFacts` per run program.
 
     Thread-safe: lookups, LRU reordering, and evictions hold an internal
-    lock, so concurrent readers of a shared cache (the parallel executor,
-    the planned rule-server) cannot corrupt the ``OrderedDict``.  A miss
+    lock, so engines on different threads sharing one cache (an
+    ``ActiveDatabase`` driven from several threads, the planned
+    rule-server) cannot corrupt the ``OrderedDict``.  A miss
     re-derives the analysis outside the lock — two racing threads may both
     analyze, but the result is deterministic and last-write-wins is safe.
     """

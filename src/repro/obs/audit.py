@@ -37,8 +37,9 @@ Two layers:
 * :class:`DecisionTrail` — the in-run recorder.  It keeps *live* objects
   (:class:`~repro.core.conflicts.Conflict`,
   :class:`~repro.core.groundings.RuleGrounding`) in per-epoch
-  :class:`EpochArchive` records for the why-not explainer, and a parallel
-  list of flat JSON-serializable event dicts for persistence and export.
+  :class:`EpochArchive` records for the why-not explainer, and alongside
+  them a flat list of JSON-serializable event dicts for persistence and
+  export.
 * :class:`AuditLog` — the durable sidecar.  One CRC-framed record per
   committed transaction (``a1|tx=N|len=..|crc=..|<json>``, the same
   framing discipline as the v2 journal), written by

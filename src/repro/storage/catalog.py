@@ -105,33 +105,6 @@ class InternTable:
         values = self._values
         return tuple(values[ident] for ident in row)
 
-    def snapshot_values(self):
-        """A consistent id→value prefix: ``result[i]`` is the value of id ``i``.
-
-        This is the shipping format for parallel workers: the process-global
-        table does not survive ``spawn``, so a worker seeds its own table
-        from the parent's prefix (:meth:`load_prefix`) and then interns any
-        later values in the same deterministic order as its peers.
-        """
-        with self._lock:
-            return tuple(self._values)
-
-    def load_prefix(self, values):
-        """Intern *values* in order, so ids ``0..len(values)-1`` match the source.
-
-        Safe to call on a table that already holds a (possibly longer)
-        compatible prefix — re-interning is idempotent.  Raises
-        :class:`SchemaError` when the existing contents disagree, which
-        means the caller mixed tables from different processes.
-        """
-        for expected, value in enumerate(values):
-            ident = self.intern(value)
-            if ident != expected:
-                raise SchemaError(
-                    "intern prefix mismatch: value %r has id %d here, %d in "
-                    "the shipped prefix" % (value, ident, expected)
-                )
-
     def __len__(self):
         return len(self._values)
 

@@ -37,46 +37,12 @@ scan-and-filter.
 from __future__ import annotations
 
 import os
-import zlib
 from array import array
 
 from ..errors import SchemaError
 from ..lang.terms import Constant
 from ..obs import metrics as _obs
 from .catalog import INTERNER
-
-# -- row sharding ------------------------------------------------------------------
-#
-# The parallel executor partitions a relation's rows across workers by a
-# *stable* hash: builtin hash() is per-process randomized for strings, and
-# enumeration position depends on set iteration order, so neither survives
-# the trip to a spawned worker.  The mix below folds each element with the
-# tuple-hash multiplier over a fixed seed; integers (including the columnar
-# layout's intern ids, which workers assign in identical deterministic
-# order) contribute their value directly and any other constant contributes
-# a CRC of its repr.  Two processes that agree on the row therefore agree
-# on the shard.
-
-_SHARD_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _stable_element_hash(value):
-    if type(value) is int:
-        return value & _SHARD_MASK
-    return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
-
-
-def stable_row_shard(row, nshards):
-    """The shard index in ``[0, nshards)`` owning *row* — process-stable.
-
-    Works on either dialect (raw value tuples or native id tuples); the
-    caller must use one dialect consistently for a given partitioning.
-    Zero-arity rows all land in one fixed shard.
-    """
-    h = 0x345678
-    for value in row:
-        h = ((h * 1000003) ^ _stable_element_hash(value)) & _SHARD_MASK
-    return h % nshards
 
 
 class Relation:
@@ -347,24 +313,6 @@ class Relation:
                     for columns, index in self._composite.items()
                 }
         return clone
-
-    def partition(self, nshards):
-        """Split into *nshards* disjoint relations by :func:`stable_row_shard`.
-
-        Each shard is an independent :class:`Relation` carrying the
-        registered composite signatures, so single-column and composite
-        index buckets are built (lazily, as always) *per shard*.  The
-        shards cover this relation exactly: every row lands in precisely
-        one shard, determined by the stable content hash.
-        """
-        if nshards < 1:
-            raise ValueError("nshards must be >= 1")
-        shards = [Relation(self.name, self.arity) for _ in range(nshards)]
-        for shard in shards:
-            shard._registered = set(self._registered)
-        for row in self._tuples:
-            shards[stable_row_shard(row, nshards)]._tuples.add(row)
-        return shards
 
     def __eq__(self, other):
         if isinstance(other, Relation):
@@ -699,28 +647,6 @@ class ColumnarRelation:
                     for columns, index in self._composite.items()
                 }
         return clone
-
-    def partition(self, nshards):
-        """Split into *nshards* disjoint columnar relations by native-row hash.
-
-        The id-tuple twin of :meth:`Relation.partition`: rows are sharded
-        by :func:`stable_row_shard` over their intern ids (consistent
-        across processes whose intern tables were seeded identically — see
-        ``InternTable.load_prefix``), every shard shares this relation's
-        intern table and registered composite signatures, and index buckets
-        stay per-shard.
-        """
-        if nshards < 1:
-            raise ValueError("nshards must be >= 1")
-        shards = [
-            ColumnarRelation(self.name, self.arity, interner=self._interner)
-            for _ in range(nshards)
-        ]
-        for shard in shards:
-            shard._registered = set(self._registered)
-        for row in self._order:
-            shards[stable_row_shard(row, nshards)]._add_native(row)
-        return shards
 
     def __eq__(self, other):
         if isinstance(other, ColumnarRelation):

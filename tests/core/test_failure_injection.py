@@ -132,3 +132,18 @@ class TestFacadeFailures:
         with db.transaction() as tx2:
             tx2.insert("q")
         assert db.contains("q")
+
+    def test_failed_auto_commit_rolls_back_and_unwedges(self):
+        # The auto-commit helpers never expose their tx, so a commit that
+        # raises inside ``with db.transaction()`` must roll it back.
+        db = ActiveDatabase.from_text("p.")
+        db.add_rules(CONFLICT)
+        db.policy = ExplodingPolicy()
+        with pytest.raises(RuntimeError, match="policy blew up"):
+            db.insert("seed")
+        assert db.database == Database.from_text("p.")
+        assert len(db.log) == 0
+        db.policy = InertiaPolicy()
+        db.insert("r")
+        assert db.contains("r")
+        assert len(db.log) == 1
